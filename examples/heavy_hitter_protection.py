@@ -10,7 +10,7 @@ Run:  python examples/heavy_hitter_protection.py
 """
 
 from repro import RngRegistry, TwoStageRateLimiter
-from repro.experiments.common import ScaledPod
+from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim import MS, SECOND
 from repro.workloads.tenants import TenantSet, overload_scenario_profiles
 
@@ -18,23 +18,38 @@ SCALE = 1 / 200  # paper rates are tens of Mpps; run at hundreds of Kpps
 
 
 def run_scenario(with_limiter):
-    scaled = ScaledPod(data_cores=4, per_core_pps=25_000, seed=7, rx_capacity=256)
+    rngs = RngRegistry(seed=7)
+    limiter = None
     if with_limiter:
-        scaled.pod.nic.rate_limiter = TwoStageRateLimiter(
-            scaled.rngs.stream("limiter"),
+        limiter = TwoStageRateLimiter(
+            rngs.stream("limiter"),
             stage1_rate_pps=int(8e6 * SCALE),   # paper: 8 Mpps
             stage2_rate_pps=int(2e6 * SCALE),   # paper: 2 Mpps
         )
-    counts = scaled.egress_counts_by_vni()
+    handle = build(
+        ScenarioSpec(
+            name="overload-demo",
+            pods=(PodSpec(data_cores=4, per_core_pps=25_000, rx_capacity=256),),
+            seed=7,
+        ),
+        rngs=rngs,
+        pod_extras={"pod": {"rate_limiter": limiter}},
+    )
+    counts = {}
+
+    def count(packet, outcome):
+        counts[packet.vni] = counts.get(packet.vni, 0) + 1
+
+    handle.pod.add_tap("egress", count)
     profiles = overload_scenario_profiles(
         rates_mpps=(4, 3, 2, 1), burst_rate_mpps=34,
         burst_at_ns=500 * MS, scale=SCALE,
     )
-    TenantSet(scaled.sim, scaled.rngs, scaled.pod.ingress, profiles)
+    TenantSet(handle.sim, rngs, handle.pod.ingress, profiles)
 
-    scaled.run_for(500 * MS)           # steady state
+    handle.run(500 * MS)               # steady state
     before = dict(counts)
-    scaled.run_for(1 * SECOND)         # tenant 1 bursting
+    handle.run(1 * SECOND)             # tenant 1 bursting
     after = {vni: counts.get(vni, 0) - before.get(vni, 0) for vni in counts}
 
     label = "WITH two-stage limiter" if with_limiter else "WITHOUT limiter"

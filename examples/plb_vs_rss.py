@@ -8,8 +8,8 @@ PLB sprays it across all three and nothing drops.
 Run:  python examples/plb_vs_rss.py
 """
 
-from repro.experiments.common import ScaledPod
 from repro.packet.flows import flow_for_tenant
+from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim import MS
 from repro.workloads import CbrSource, FlowPopulation, uniform_population
 
@@ -18,22 +18,27 @@ CORES = 3
 
 
 def run_mode(mode, hitter_fraction):
-    scaled = ScaledPod(data_cores=CORES, per_core_pps=PER_CORE_PPS, mode=mode, seed=5)
+    duration = 200 * MS
+    handle = build(ScenarioSpec(
+        name="plb-vs-rss",
+        pods=(PodSpec(data_cores=CORES, mode=mode, per_core_pps=PER_CORE_PPS),),
+        duration_ns=duration,
+        seed=5,
+    ))
     background = uniform_population(500, tenants=50)
     CbrSource(
-        scaled.sim, scaled.rngs.stream("bg"), scaled.pod.ingress, background,
+        handle.sim, handle.rngs.stream("bg"), handle.pod.ingress, background,
         rate_pps=int(0.1 * PER_CORE_PPS * CORES),
     )
     hitter = FlowPopulation([flow_for_tenant(999, 0)], vnis=[999])
     CbrSource(
-        scaled.sim, scaled.rngs.stream("hh"), scaled.pod.ingress, hitter,
+        handle.sim, handle.rngs.stream("hh"), handle.pod.ingress, hitter,
         rate_pps=int(hitter_fraction * PER_CORE_PPS),
     )
-    duration = 200 * MS
-    scaled.run_for(duration)
-    utils = scaled.pod.core_utilizations(duration)
+    handle.run()
+    utils = handle.pod.core_utilizations(duration)
     offered = int(0.1 * PER_CORE_PPS * CORES) + int(hitter_fraction * PER_CORE_PPS)
-    delivered = scaled.pod.transmitted() / (duration / 1e9)
+    delivered = handle.pod.transmitted() / (duration / 1e9)
     loss = max(0.0, 1 - delivered / offered)
     return utils, loss
 

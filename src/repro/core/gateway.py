@@ -29,6 +29,17 @@ from repro.sim.rng import rng_state, set_rng_state
 from repro.sim.units import SECOND
 
 
+#: Pipeline stages a pod observer can tap, in packet order (see
+#: :meth:`GwPodRuntime.add_tap`).
+TAP_STAGES = ("ingress", "cpu_start", "cpu_done", "egress")
+
+
+def delivered_latency_ns(packet):
+    """A transmitted packet's latency for the pod histogram and the
+    windowed telemetry alike, or None when it must not count."""
+    return packet.latency_ns if packet.drop_reason is None else None
+
+
 def default_reorder_queue_count(data_cores):
     """1-8 reorder queues, proportional to the pod's data cores (§4.1).
 
@@ -63,6 +74,7 @@ class PodConfig:
         table_scale=None,
         memory_frequency_mhz=4800,
         custom_service=None,
+        session_offload=None,
     ):
         if data_cores < 1:
             raise ValueError("a pod needs at least one data core")
@@ -91,6 +103,7 @@ class PodConfig:
         self.table_scale = table_scale
         self.memory_frequency_mhz = memory_frequency_mhz
         self.custom_service = custom_service
+        self.session_offload = session_offload
 
     @property
     def total_cores(self):
@@ -98,18 +111,27 @@ class PodConfig:
 
 
 class GwPodRuntime:
-    """A running GW pod: cores + NIC pipeline slice + metrics."""
+    """A running GW pod: cores + NIC pipeline slice + metrics.
 
-    def __init__(self, sim, config, core_ids, rng, l3_cache=None, numa_factor=1.0):
+    ``taps`` maps each of :data:`TAP_STAGES` to its observers (see
+    :meth:`add_tap`); passing another pod's ``taps`` shares its lists,
+    which is how a migration hands observers to the rebuilt pod.
+    """
+
+    def __init__(
+        self, sim, config, core_ids, rng, l3_cache=None, numa_factor=1.0, taps=None
+    ):
         self.sim = sim
         self.config = config
         self.rng = rng
         self.latency_histogram = LatencyHistogram()
-        # Optional per-latency callback (the telemetry recorder binds a
-        # per-window histogram's record here); sees exactly the stream
-        # that feeds latency_histogram.  Not checkpointed: the recorder
-        # that owns the tap checkpoints its own histograms.
-        self.latency_tap = None
+        # Observer wiring, not pod state: each observer checkpoints what
+        # it records, and a migration hands the lists to the rebuilt pod.
+        self.taps = (  # lint: disable=SNAP001(observer wiring, not pod state; observers re-register on a rebuilt handle and migration shares the lists with the rebuilt pod)
+            taps if taps is not None else {stage: [] for stage in TAP_STAGES}
+        )
+        self._ingress_taps = self.taps["ingress"]
+        self._egress_taps = self.taps["egress"]
         self.outcomes = {}
         self.crashed = False
         self._started_ns = sim.now
@@ -126,21 +148,15 @@ class GwPodRuntime:
         timings = MemoryTimings(memory_frequency_mhz=config.memory_frequency_mhz)
         if l3_cache is not None:
             scale = config.table_scale if config.table_scale is not None else 1.0
-            # ServiceChain's only mutable state is a bounded memoization
-            # of a deterministic per-flow address function; a rebuilt
-            # chain re-derives identical entries on demand.
-            self.chain = ServiceChain(  # lint: disable=SNAP003(only mutable state is a pure memo cache of a deterministic address function)
-                service,
-                cache=l3_cache,
-                timings=timings,
-                table_scale=scale,
-            )
+            mode_kwargs = {"cache": l3_cache, "table_scale": scale}
         else:
-            self.chain = ServiceChain(  # lint: disable=SNAP003(only mutable state is a pure memo cache of a deterministic address function)
-                service,
-                timings=timings,
-                assumed_hit_rate=config.assumed_hit_rate,
-            )
+            mode_kwargs = {"assumed_hit_rate": config.assumed_hit_rate}
+        # ServiceChain's only mutable state is a bounded memoization of a
+        # deterministic per-flow address function; a rebuilt chain
+        # re-derives identical entries on demand.
+        self.chain = ServiceChain(  # lint: disable=SNAP003(only mutable state is a pure memo cache of a deterministic address function)
+            service, timings=timings, **mode_kwargs
+        )
 
         nic_config = NicPipelineConfig(
             mode=config.mode,
@@ -148,6 +164,7 @@ class GwPodRuntime:
             rate_limiter=config.rate_limiter,
             drop_flag_enabled=config.drop_flag_enabled,
             header_only=config.header_only,
+            session_offload=config.session_offload,
             **(
                 {"meta_placement": config.meta_placement}
                 if config.meta_placement is not None
@@ -180,6 +197,8 @@ class GwPodRuntime:
                 jitter=config.jitter,
                 rx_capacity=config.rx_capacity,
                 speed_factor=speed_factor,
+                start_taps=self.taps["cpu_start"],
+                done_taps=self.taps["cpu_done"],
             )
             self.cores.append(core)
 
@@ -207,12 +226,11 @@ class GwPodRuntime:
         return Verdict.FORWARD
 
     def _on_egress(self, packet, outcome):
-        latency = packet.latency_ns
-        if latency is not None and packet.drop_reason is None:
+        for tap in self._egress_taps:
+            tap(packet, outcome)
+        latency = delivered_latency_ns(packet)
+        if latency is not None:
             self.latency_histogram.record(latency)
-            tap = self.latency_tap
-            if tap is not None:
-                tap(latency)
         try:
             key = outcome.value
         except AttributeError:
@@ -236,7 +254,24 @@ class GwPodRuntime:
             packet.drop_reason = "pod_crashed"
             self.nic.counters.incr("pod_crashed_drops")
             return
+        for tap in self._ingress_taps:
+            tap(packet)
         self.nic.ingress(packet)
+
+    def add_tap(self, stage, fn):
+        """Observe ``stage`` (one of :data:`TAP_STAGES`) with ``fn``.
+
+        Taps run in registration order as a packet reaches the stage:
+        ``fn(packet)``, or ``fn(packet, outcome)`` for ``egress``.  An
+        ``ingress`` tap sees only packets a live pod accepts, and a
+        ``cpu_start`` tap only packets a core actually starts.  Taps
+        observe; they must not change the packet or schedule events.
+        """
+        self.taps[stage].append(fn)
+
+    def remove_tap(self, stage, fn):
+        """Detach a tap registered with :meth:`add_tap`."""
+        self.taps[stage].remove(fn)
 
     def crash(self):
         """Fault injection: the container dies mid-flight.
@@ -401,8 +436,11 @@ class AlbatrossServer:
                 return node_id
         raise ValueError(f"no NUMA node has {config.total_cores} free cores")
 
-    def add_pod(self, config):
-        """Create and start a GW pod; returns its :class:`GwPodRuntime`."""
+    def add_pod(self, config, taps=None):
+        """Create and start a GW pod; returns its :class:`GwPodRuntime`.
+
+        ``taps``: another pod's tap lists to share (see GwPodRuntime).
+        """
         if config.name in self.pods:
             raise ValueError(f"duplicate pod name {config.name!r}")
         node_id = self._pick_node(config)
@@ -418,6 +456,7 @@ class AlbatrossServer:
             self.rngs.stream(f"pod.{config.name}"),
             l3_cache=self._l3.get(memory_node),
             numa_factor=numa_factor,
+            taps=taps,
         )
         pod.numa_node = node_id
         pod.memory_node = memory_node

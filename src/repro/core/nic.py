@@ -115,8 +115,7 @@ class NicPipeline:
             "plb", "tx"
         ) + self.latency.module_ns("basic_pipeline", "tx")
         # Hot-path bindings: these objects never change over the pipeline's
-        # lifetime (unlike egress_fn/rate_limiter/session_offload, which
-        # experiments swap post-construction and must be read per call).
+        # lifetime.
         self._schedule = sim.schedule
         self._incr = self.counters.incr
         self._classify = self.pkt_dir.classify

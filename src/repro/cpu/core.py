@@ -64,6 +64,9 @@ class CpuCore:
         jitter: optional :class:`~repro.cpu.service.JitterModel`.
         rx_capacity: RX descriptor ring size.
         speed_factor: scales service time (cross-NUMA penalty uses >1).
+        start_taps / done_taps: observer lists, each ``fn(packet)``,
+            called as processing of a packet starts and finishes (the
+            owning pod's ``cpu_start``/``cpu_done`` taps).
     """
 
     def __init__(
@@ -76,6 +79,8 @@ class CpuCore:
         jitter=None,
         rx_capacity=1024,
         speed_factor=1.0,
+        start_taps=(),
+        done_taps=(),
     ):
         from repro.cpu.queues import PacketQueue
 
@@ -86,6 +91,8 @@ class CpuCore:
         self.verdict_fn = verdict_fn
         self.jitter = jitter
         self.speed_factor = speed_factor
+        self._start_taps = start_taps
+        self._done_taps = done_taps
         self.rx_queue = PacketQueue(rx_capacity, name=f"core{core_id}-rx")
         self.stats = CoreStats()
         self._sanitizer = get_sanitizer()
@@ -172,6 +179,8 @@ class CpuCore:
         if packet is None:
             self._busy = False
             return
+        for tap in self._start_taps:
+            tap(packet)
         self._busy = True
         service_ns = self.chain.service_time_ns(packet)
         jitter = self.jitter
@@ -198,6 +207,8 @@ class CpuCore:
         self.sim.schedule(service_ns, self._finish, packet)
 
     def _finish(self, packet):
+        for tap in self._done_taps:
+            tap(packet)
         stats = self.stats
         stats.processed += 1
         verdict_fn = self.verdict_fn

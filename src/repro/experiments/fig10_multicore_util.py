@@ -10,9 +10,10 @@ single-flow microbursts, sampled by a
 :class:`~repro.metrics.summary.UtilizationSampler`.
 """
 
-from repro.experiments.common import ExperimentResult, ScaledPod
+from repro.experiments.common import ExperimentResult
 from repro.metrics.summary import UtilizationSampler, mean
 from repro.packet.flows import flow_for_tenant
+from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim.units import MS
 from repro.workloads.generators import CbrSource, FlowPopulation, uniform_population
 from repro.workloads.traces import schedule_profile, weekly_load_profile
@@ -70,13 +71,18 @@ def _run_mode(
     burst_duration_ns,
     burst_gap_ns,
 ):
-    scaled = ScaledPod(data_cores=CORES, per_core_pps=per_core_pps, mode=mode, seed=31)
+    handle = build(ScenarioSpec(
+        name="fig10",
+        pods=(PodSpec(data_cores=CORES, mode=mode, per_core_pps=per_core_pps),),
+        duration_ns=duration_ns,
+        seed=31,
+    ))
     base_rate = int(average_load * per_core_pps * CORES)
     background = uniform_population(800, tenants=80)
     source = CbrSource(
-        scaled.sim,
-        scaled.rngs.stream("background"),
-        scaled.pod.ingress,
+        handle.sim,
+        handle.rngs.stream("background"),
+        handle.pod.ingress,
         background,
         rate_pps=base_rate,
     )
@@ -84,7 +90,7 @@ def _run_mode(
     day_fraction = duration_ns / 7
     profile = weekly_load_profile(base_rate, samples_per_day=12)
     compression = day_fraction / 86400.0 / 1e9
-    schedule_profile(scaled.sim, source, profile, time_compression=compression)
+    schedule_profile(handle.sim, source, profile, time_compression=compression)
 
     # Single-flow microbursts: the thing RSS cannot absorb.
     burst_rate = int(burst_core_fraction * per_core_pps)
@@ -94,18 +100,18 @@ def _run_mode(
         flow = flow_for_tenant(8000 + index, index)
         population = FlowPopulation([flow], vnis=[8000 + index])
         burst = CbrSource(
-            scaled.sim,
-            scaled.rngs.stream(f"burst{index}"),
-            scaled.pod.ingress,
+            handle.sim,
+            handle.rngs.stream(f"burst{index}"),
+            handle.pod.ingress,
             population,
             rate_pps=0,
         )
-        scaled.sim.schedule_at(start, burst.set_rate, burst_rate)
-        scaled.sim.schedule_at(start + burst_duration_ns, burst.set_rate, 0)
+        handle.sim.schedule_at(start, burst.set_rate, burst_rate)
+        handle.sim.schedule_at(start + burst_duration_ns, burst.set_rate, 0)
         start += burst_duration_ns + burst_gap_ns
         index += 1
 
-    sampler = UtilizationSampler(scaled.sim, scaled.pod.cores, sample_period_ns)
-    scaled.run_for(duration_ns)
+    sampler = UtilizationSampler(handle.sim, handle.pod.cores, sample_period_ns)
+    handle.run()
     sampler.stop()
     return sampler.stddev_series

@@ -10,7 +10,9 @@ model on (rare latency spikes) and Poisson arrivals.
 """
 
 from repro.cpu.service import JitterModel
-from repro.experiments.common import ExperimentResult, ScaledPod
+from repro.experiments.common import ExperimentResult
+from repro.scenarios import PodSpec, ScenarioSpec, build
+from repro.sim.rng import RngRegistry
 from repro.sim.units import MS, US
 from repro.workloads.generators import PoissonSource, uniform_population
 
@@ -57,36 +59,38 @@ def _run_pod(
     slow_branch_probability,
     slow_branch_ns,
 ):
-    scaled = ScaledPod(
-        data_cores=CORES,
-        per_core_pps=per_core_pps,
-        mode="plb",
-        seed=41,
-        jitter=None,
-    )
-    # Attach jitter after construction so each pod gets its own stream.
-    # The rare slow branch (beyond the 100 us PLB timeout) is what makes
-    # the ~1e-5 disorder rate of the paper's production pods.
+    rngs = RngRegistry(seed=41)
+    # Each pod's jitter draws from its own stream.  The rare slow branch
+    # (beyond the 100 us PLB timeout) is what makes the ~1e-5 disorder
+    # rate of the paper's production pods.
     jitter = JitterModel(
-        scaled.rngs.stream(f"jitter.{pod_name}"),
+        rngs.stream(f"jitter.{pod_name}"),
         spike_probability=spike_probability,
         spike_mean_ns=12 * US,
         slow_branch_probability=slow_branch_probability,
         slow_branch_ns=slow_branch_ns,
     )
-    for core in scaled.pod.cores:
-        core.jitter = jitter
+    handle = build(
+        ScenarioSpec(
+            name="fig11",
+            pods=(PodSpec(data_cores=CORES, per_core_pps=per_core_pps),),
+            duration_ns=duration_ns,
+            seed=41,
+        ),
+        rngs=rngs,
+        pod_extras={"pod": {"jitter": jitter}},
+    )
     population = uniform_population(600, tenants=60)
     PoissonSource(
-        scaled.sim,
-        scaled.rngs.stream("traffic"),
-        scaled.pod.ingress,
+        handle.sim,
+        handle.rngs.stream("traffic"),
+        handle.pod.ingress,
         population,
         rate_pps=int(load * per_core_pps * CORES),
     )
-    scaled.run_for(duration_ns)
-    histogram = scaled.pod.latency_histogram
-    stats = scaled.pod.reorder_stats
+    handle.run()
+    histogram = handle.pod.latency_histogram
+    stats = handle.pod.reorder_stats
     return {
         "pod": pod_name,
         "load_pct": int(load * 100),

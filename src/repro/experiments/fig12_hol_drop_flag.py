@@ -10,7 +10,8 @@ Replay: a pod at moderate load with a small ACL-drop probability, with
 the flag on and off; HOL events = reorder timeout releases.
 """
 
-from repro.experiments.common import ExperimentResult, ScaledPod
+from repro.experiments.common import ExperimentResult
+from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim.units import MS, SECOND, US
 from repro.workloads.generators import CbrSource, uniform_population
 
@@ -36,24 +37,29 @@ def run(
 
 
 def _run_mode(drop_flag, per_core_pps, load, acl_drop_probability, duration_ns):
-    scaled = ScaledPod(
-        data_cores=CORES,
-        per_core_pps=per_core_pps,
-        mode="plb",
+    handle = build(ScenarioSpec(
+        name="fig12",
+        pods=(
+            PodSpec(
+                data_cores=CORES,
+                per_core_pps=per_core_pps,
+                drop_flag_enabled=drop_flag,
+                acl_drop_probability=acl_drop_probability,
+            ),
+        ),
+        duration_ns=duration_ns,
         seed=53,
-        drop_flag_enabled=drop_flag,
-        acl_drop_probability=acl_drop_probability,
-    )
+    ))
     population = uniform_population(400, tenants=40)
     CbrSource(
-        scaled.sim,
-        scaled.rngs.stream("traffic"),
-        scaled.pod.ingress,
+        handle.sim,
+        handle.rngs.stream("traffic"),
+        handle.pod.ingress,
         population,
         rate_pps=int(load * per_core_pps * CORES),
     )
-    scaled.run_for(duration_ns)
-    stats = scaled.pod.reorder_stats
+    handle.run()
+    stats = handle.pod.reorder_stats
     seconds = duration_ns / SECOND
     # Extra latency the timeout-blocked packets would have added: every
     # HOL event stalls its queue head for up to the full timeout.
@@ -62,6 +68,6 @@ def _run_mode(drop_flag, per_core_pps, load, acl_drop_probability, duration_ns):
         "hol_events_per_s": round(stats.hol_events / seconds, 1),
         "timeout_releases": stats.timeout_releases,
         "drop_flag_releases": stats.drop_flag_releases,
-        "acl_drops": scaled.pod.counters.get("cpu_acl_drops"),
-        "p99_us": round(scaled.pod.latency_histogram.percentile(0.99) / US, 1),
+        "acl_drops": handle.pod.counters.get("cpu_acl_drops"),
+        "p99_us": round(handle.pod.latency_histogram.percentile(0.99) / US, 1),
     }

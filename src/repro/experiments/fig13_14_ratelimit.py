@@ -15,7 +15,9 @@ limiter 40 + 10 Kpps.
 """
 
 from repro.core.ratelimit import TwoStageRateLimiter
-from repro.experiments.common import ExperimentResult, ScaledPod
+from repro.experiments.common import ExperimentResult
+from repro.scenarios import PodSpec, ScenarioSpec, build
+from repro.sim.rng import RngRegistry
 from repro.sim.units import MS, SECOND
 from repro.workloads.tenants import TenantSet, overload_scenario_profiles
 
@@ -28,21 +30,24 @@ BUCKET_NS = 250 * MS
 
 def run(with_limiter, duration_ns=2 * SECOND, seed=61):
     """One scenario run; returns per-(bucket, tenant) delivered rates."""
+    rngs = RngRegistry(seed=seed)
     limiter = None
-    scaled = ScaledPod(
-        data_cores=CORES,
-        per_core_pps=PER_CORE_PPS,
-        mode="plb",
-        seed=seed,
-        rx_capacity=256,
-    )
     if with_limiter:
         limiter = TwoStageRateLimiter(
-            scaled.rngs.stream("limiter"),
+            rngs.stream("limiter"),
             stage1_rate_pps=int(8e6 * SCALE),
             stage2_rate_pps=int(2e6 * SCALE),
         )
-        scaled.pod.nic.rate_limiter = limiter
+    handle = build(
+        ScenarioSpec(
+            name="fig13-14",
+            pods=(PodSpec(data_cores=CORES, per_core_pps=PER_CORE_PPS, rx_capacity=256),),
+            duration_ns=duration_ns,
+            seed=seed,
+        ),
+        rngs=rngs,
+        pod_extras={"pod": {"rate_limiter": limiter}},
+    )
 
     profiles = overload_scenario_profiles(
         rates_mpps=(4, 3, 2, 1),
@@ -52,17 +57,15 @@ def run(with_limiter, duration_ns=2 * SECOND, seed=61):
     )
 
     buckets = {}  # (bucket_index, vni) -> delivered count
-    original = scaled.pod.nic.egress_fn
 
     def egress(packet, outcome):
         bucket = packet.departure_ns // BUCKET_NS
         key = (bucket, packet.vni)
         buckets[key] = buckets.get(key, 0) + 1
-        original(packet, outcome)
 
-    scaled.pod.nic.egress_fn = egress
-    tenants = TenantSet(scaled.sim, scaled.rngs, scaled.pod.ingress, profiles)
-    scaled.run_for(duration_ns)
+    handle.pod.add_tap("egress", egress)
+    tenants = TenantSet(handle.sim, handle.rngs, handle.pod.ingress, profiles)
+    handle.run()
     tenants.stop_all()
 
     rows = []

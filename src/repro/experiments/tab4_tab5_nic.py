@@ -17,9 +17,10 @@ from repro.core.resources import (
     NIC_MODULE_RESOURCES_PCT,
     NicLatencyModel,
 )
-from repro.experiments.common import ExperimentResult, ScaledPod
+from repro.experiments.common import ExperimentResult
 from repro.packet.flows import flow_for_tenant
 from repro.packet.packet import Packet
+from repro.scenarios import PodSpec, ScenarioSpec, build
 from repro.sim.units import MS, US
 
 
@@ -44,11 +45,16 @@ def run_latency(measure=True):
 
 def _measure_unloaded_latency():
     """One packet through an idle pod: NIC latency + one service time."""
-    scaled = ScaledPod(data_cores=1, per_core_pps=1_000_000)
+    handle = build(ScenarioSpec(
+        name="tab4-unloaded",
+        pods=(PodSpec(data_cores=1, per_core_pps=1_000_000),),
+        duration_ns=1 * MS,
+        seed=1,
+    ))
     packet = Packet(flow_for_tenant(1, 0), vni=1)
-    scaled.pod.ingress(packet)
-    scaled.run_for(1 * MS)
-    service_ns = scaled.pod.chain.expected_service_ns()
+    handle.pod.ingress(packet)
+    handle.run()
+    service_ns = handle.pod.chain.expected_service_ns()
     return packet.latency_ns - service_ns
 
 

@@ -1,11 +1,13 @@
 """Per-packet timeline tracing.
 
 Operations tooling: attach a :class:`PacketTracer` to a pod and every
-traced packet records its stage timestamps (ingress, core enqueue, CPU
-start/finish, reorder writeback, wire).  Used by the latency-breakdown
+traced packet records its stage timestamps (ingress, CPU start/finish,
+wire) through the pod's observer taps.  Used by the latency-breakdown
 tests and handy when debugging HOL incidents -- the same telemetry the
 paper's team leaned on when chasing the millisecond code branches.
 """
+
+from functools import partial
 
 
 class PacketTrace:
@@ -44,7 +46,7 @@ class PacketTrace:
 
 
 class PacketTracer:
-    """Hooks a GW pod's pipeline and records packet timelines.
+    """Records packet timelines through a GW pod's observer taps.
 
     Parameters:
         pod: a :class:`~repro.core.gateway.GwPodRuntime`.
@@ -52,104 +54,45 @@ class PacketTracer:
         max_traces: stop collecting after this many packets.
     """
 
-    STAGES = ("ingress", "cpu_start", "cpu_done", "egress")
-
     def __init__(self, pod, sample_every=1, max_traces=10_000):
         self.pod = pod
         self.sample_every = sample_every
         self.max_traces = max_traces
         self.traces = {}
         self._seen = 0
-        self._active = True
-        self._patched = []
-        self._install()
-
-    def _patch(self, obj, name, replacement):
-        """Shadow ``obj.name`` with an instance attribute, remembering how
-        to undo it (the original may be a class method or a prior
-        instance attribute -- ``uninstall`` restores either exactly)."""
-        self._patched.append((obj, name, name in obj.__dict__, obj.__dict__.get(name)))
-        setattr(obj, name, replacement)
+        self._taps = [("ingress", self._on_ingress)] + [
+            (stage, partial(self._mark, stage))
+            for stage in ("cpu_start", "cpu_done", "egress")
+        ]
+        for stage, tap in self._taps:
+            pod.add_tap(stage, tap)
 
     def uninstall(self):
-        """Remove every pipeline hook, restoring the original callables.
+        """Detach from the pod, leaving collected traces intact.
 
-        Leaves collected traces intact.  Idempotent; after this the pod
-        carries no tracer wrappers, so it checkpoints and probes exactly
-        like an untraced pod.  Callers that captured a wrapper directly
-        (a traffic source built against ``pod.ingress`` while the tracer
-        was installed) keep a working pass-through: deactivated wrappers
-        forward without recording.
+        Idempotent.  A migration hands the taps to the rebuilt pod by
+        sharing its tap lists, so this detaches from that pod too.
         """
-        self._active = False
-        while self._patched:
-            obj, name, had_attr, original = self._patched.pop()
-            if had_attr:
-                setattr(obj, name, original)
-            else:
-                delattr(obj, name)
+        for stage, tap in self._taps:
+            self.pod.remove_tap(stage, tap)
+        self._taps = ()
 
-    def _install(self):
-        pod = self.pod
-        sim = pod.sim
+    def _on_ingress(self, packet):
+        self._seen += 1
+        # (seen - 1) % N: the first packet of every stride is traced, so
+        # a run shorter than N packets still collects traces.
+        if (
+            len(self.traces) < self.max_traces
+            and (self._seen - 1) % self.sample_every == 0
+        ):
+            trace = PacketTrace(packet.uid)
+            trace.mark("ingress", self.pod.sim.now)
+            self.traces[packet.uid] = trace
 
-        original_ingress = pod.nic.ingress
-
-        def traced_ingress(packet):
-            if self._active:
-                self._seen += 1
-                # (seen - 1) % N: the first packet of every stride is
-                # traced, so a run shorter than N packets still collects
-                # traces.
-                if (
-                    len(self.traces) < self.max_traces
-                    and (self._seen - 1) % self.sample_every == 0
-                ):
-                    trace = PacketTrace(packet.uid)
-                    trace.mark("ingress", sim.now)
-                    self.traces[packet.uid] = trace
-            original_ingress(packet)
-
-        self._patch(pod.nic, "ingress", traced_ingress)
-        # GwPodRuntime.ingress bound the original method; repoint it.
-        self._patch(pod, "ingress", traced_ingress)
-
-        for core in pod.cores:
-            self._wrap_core(core, sim)
-
-        original_egress = pod.nic.egress_fn
-
-        def traced_egress(packet, outcome):
-            trace = self.traces.get(packet.uid)
-            if trace is not None:
-                trace.mark("egress", sim.now)
-            original_egress(packet, outcome)
-
-        self._patch(pod.nic, "egress_fn", traced_egress)
-
-    def _wrap_core(self, core, sim):
-        original_start = core._start_next
-        tracer = self
-
-        def traced_start():
-            pending = core.rx_queue.peek()
-            if pending is not None:
-                trace = tracer.traces.get(pending.uid)
-                if trace is not None:
-                    trace.mark("cpu_start", sim.now)
-            original_start()
-
-        self._patch(core, "_start_next", traced_start)
-
-        original_finish = core._finish
-
-        def traced_finish(packet):
-            trace = tracer.traces.get(packet.uid)
-            if trace is not None:
-                trace.mark("cpu_done", sim.now)
-            original_finish(packet)
-
-        self._patch(core, "_finish", traced_finish)
+    def _mark(self, stage, packet, outcome=None):
+        trace = self.traces.get(packet.uid)
+        if trace is not None:
+            trace.mark(stage, self.pod.sim.now)
 
     # -- analysis -----------------------------------------------------------
 

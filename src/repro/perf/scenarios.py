@@ -58,13 +58,15 @@ def ratelimit_churn(quick):
     """Two-stage limiter at 90% load with pre-table promote/demote churn."""
     from repro.core.ratelimit import TwoStageRateLimiter
     from repro.scenarios import build, scenario_spec
+    from repro.sim.rng import RngRegistry
 
-    handle = build(scenario_spec("ratelimit-churn", quick=quick))
+    spec = scenario_spec("ratelimit-churn", quick=quick)
+    rngs = RngRegistry(seed=spec.seed)
     limiter = TwoStageRateLimiter(
-        handle.rngs.stream("bench-limiter"),
+        rngs.stream("bench-limiter"),
         stage1_rate_pps=40_000, stage2_rate_pps=10_000,
     )
-    handle.pod.nic.rate_limiter = limiter
+    handle = build(spec, rngs=rngs, pod_extras={"pod": {"rate_limiter": limiter}})
 
     state = {"vni": 0}
 

@@ -115,10 +115,11 @@ def _build_population(workload):
 class RunHandle:
     """A built scenario: simulator, server, pods and attached sources.
 
-    Scenario functions are free to wire extra machinery (fault
-    injectors, limiters, bespoke sinks) onto the handle before calling
-    :meth:`run`; everything reachable from ``sim``/``rngs``/``server``
-    is theirs to extend.
+    Scenario functions are free to add machinery (fault injectors,
+    sources, bespoke sinks) that drives the handle before calling
+    :meth:`run`.  Live pod components arrive only through ``build``'s
+    ``pod_extras``; observers attach through the pods' taps
+    (:meth:`~repro.core.gateway.GwPodRuntime.add_tap`).
     """
 
     def __init__(self, spec, sim, rngs, server, pods, sources, migration=None):
@@ -160,10 +161,6 @@ class RunHandle:
         span = self.spec.duration_ns if duration_ns is None else duration_ns
         self.sim.run_until(self.sim.now + span)
         return self
-
-    def run_for(self, duration_ns):
-        """Alias kept for :class:`ScaledPod` compatibility."""
-        return self.run(duration_ns)
 
     def restore_checkpoint(self, snapshot):
         """Adopt a ``SimCheckpoint`` on a freshly built handle.
@@ -313,10 +310,13 @@ def build(spec, sim=None, rngs=None, pod_extras=None):
         spec: the scenario.
         sim / rngs: pass to embed the scenario in an existing simulation
             (defaults: fresh ``Simulator`` and ``RngRegistry(spec.seed)``).
-        pod_extras: ``{pod_name: {kwarg: object}}`` of live-object
-            :class:`PodConfig` kwargs (``rate_limiter``, ``jitter``, ...)
-            that plain-data specs cannot carry.  Handles built with
-            extras run fine but their specs no longer describe the full
+        pod_extras: ``{pod_name: {kwarg: value}}`` of :class:`PodConfig`
+            kwargs that plain-data specs cannot carry (``rate_limiter``,
+            ``jitter``, ``session_offload``, ``meta_placement``,
+            ``reorder_depth``) -- the one construction-time path for
+            live objects; pass ``sim``/``rngs`` to build them on the
+            deployment's clock and streams.  Handles built with extras
+            run fine but their specs no longer describe the full
             deployment -- keep extras out of sweep-bound scenarios.
     """
     sim = sim if sim is not None else Simulator()

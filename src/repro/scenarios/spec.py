@@ -11,9 +11,9 @@ losslessly through :meth:`ScenarioSpec.to_dict` /
 :meth:`ScenarioSpec.from_dict` (the wire format the fleet engine ships
 to worker processes, and the schema ``python -m repro sweep`` embeds in
 its report).  Anything that is not plain data -- a live
-``TwoStageRateLimiter``, a jitter model -- is attached *after*
-:func:`repro.scenarios.build` by the calling scenario, or passed through
-``build``'s ``pod_extras`` escape hatch (such handles are runnable but
+``TwoStageRateLimiter``, a jitter model, a session-offload table --
+enters through :func:`repro.scenarios.build`'s ``pod_extras``, the one
+construction-time path for live objects (such handles are runnable but
 not serializable).
 """
 
@@ -33,11 +33,6 @@ INCOMPATIBLE_FEATURES = (
     (
         "migration", "checkpoint_every_ns",
         "a mid-migration deployment is not quiescent-restorable",
-    ),
-    (
-        "migration", "timeseries_every_ns",
-        "the migrated pod is rebuilt mid-run, which would silently "
-        "detach its latency tap",
     ),
     (
         "servers", "checkpoint_every_ns",
@@ -119,7 +114,7 @@ class PodSpec:
     """One GW pod, described with scalars only.
 
     ``per_core_pps`` selects a synthetic service calibrated to that
-    per-core rate (the ``ScaledPod`` scaling discipline); when ``None``
+    per-core rate (see :func:`repro.scenarios.scaled_service`); when ``None``
     the named paper ``service`` is used instead.
 
     ``limiter_stage1_pps``/``limiter_stage2_pps`` declare the two-stage

@@ -37,10 +37,22 @@ statecheck probe, and ``restore()`` returns a re-arm entry that
 order -- so a mid-shard resume reproduces the identical series.
 """
 
+from repro.core.gateway import delivered_latency_ns
 from repro.metrics.counters import CounterSet
 from repro.metrics.histogram import LatencyHistogram
 
 TIMESERIES_SCHEMA_VERSION = 1
+
+
+def _histogram_tap(record):
+    """An egress tap feeding ``record`` the stream the pod histogram sees."""
+
+    def tap(packet, outcome):
+        latency = delivered_latency_ns(packet)
+        if latency is not None:
+            record(latency)
+
+    return tap
 
 
 class TimeSeriesRecorder:
@@ -48,8 +60,10 @@ class TimeSeriesRecorder:
 
     Parameters:
         sim: the :class:`~repro.sim.engine.Simulator`.
-        pods: ``{name: GwPodRuntime}`` (the recorder taps each pod's
-            ``latency_tap`` hook and reads its counters at flush time).
+        pods: ``{name: GwPodRuntime}`` (the recorder adds an ``egress``
+            tap to each pod and reads its counters at flush time; the
+            dict is read at every flush, so an entry a migration swaps
+            in is sampled from then on).
         every_ns: window width in sim nanoseconds.
         seed: seed for the per-window reservoir rngs (only observable
             past the reservoir cap; carried for determinism regardless).
@@ -72,7 +86,7 @@ class TimeSeriesRecorder:
             pod = pods[name]
             self._prev[name] = self._sample(pod).snapshot()
             hist = LatencyHistogram(seed=seed)
-            pod.latency_tap = hist.record
+            pod.add_tap("egress", _histogram_tap(hist.record))
             self._hists[name] = hist
         self._event = sim.schedule(self.every_ns, self._fire)
         self._pending = {"time": self._event.time, "seq": self._event.seq}
@@ -166,8 +180,8 @@ class TimeSeriesRecorder:
     def restore(self, snapshot):
         """Adopt a checkpoint; return the re-arm entry for the next flush.
 
-        Histograms restore *in place* so the pods' ``latency_tap``
-        bindings stay valid.  The returned entry is executed by
+        Histograms restore *in place* so the pods' egress taps stay
+        bound to them.  The returned entry is executed by
         ``RunHandle.restore_checkpoint`` in global ``(time, seq)`` order.
         """
         if sorted(snapshot["hists"]) != sorted(self._hists):

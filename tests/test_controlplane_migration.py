@@ -99,19 +99,12 @@ class TestPerFlowOrderAcrossMigration:
         handle = build(spec)
         egress = []
 
-        def tap(pod):
-            inner = pod.nic.egress_fn
+        def capture(packet, outcome):
+            egress.append((packet.flow, packet.uid, outcome))
 
-            def capture(packet, outcome):
-                egress.append((packet.flow, packet.uid, outcome))
-                inner(packet, outcome)
-
-            pod.nic.egress_fn = capture
-
-        tap(handle.pods["gw"])
-        # The restored pod has a fresh NIC pipeline: re-arm the tap the
-        # moment it exists, before any buffered packet reaches it.
-        handle.migration.on_restore = lambda old, new: tap(new)
+        # The restored pod adopts the tap: it sees every transmit, pre-
+        # and post-migration.
+        handle.pods["gw"].add_tap("egress", capture)
         handle.run()
         # Stop the sources and run on so the last packets settle and the
         # conservation ledger can balance exactly.

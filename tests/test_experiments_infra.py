@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.experiments.common import ExperimentResult, ScaledPod, format_table, scaled_service
+from repro.experiments.common import ExperimentResult, format_table
 from repro.experiments.runner import all_experiments
+from repro.scenarios import PodSpec, ScenarioSpec, build, scaled_service
+
+
+def _scaled_pod(data_cores, per_core_pps):
+    return build(ScenarioSpec(
+        name="scaled-pod",
+        pods=(PodSpec(data_cores=data_cores, per_core_pps=per_core_pps),),
+        seed=1,
+    ))
 
 
 class TestExperimentResult:
@@ -66,8 +75,8 @@ class TestScaledService:
         assert chain.per_core_mpps() * 1e6 == pytest.approx(target, rel=0.01)
 
     def test_scaled_pod_capacity(self):
-        scaled = ScaledPod(data_cores=4, per_core_pps=50_000)
-        assert scaled.capacity_pps == 200_000
+        scaled = _scaled_pod(data_cores=4, per_core_pps=50_000)
+        assert scaled.capacity_pps() == 200_000
         assert scaled.pod.expected_capacity_mpps() * 1e6 == pytest.approx(
             200_000, rel=0.02
         )
@@ -76,14 +85,19 @@ class TestScaledService:
         from repro.sim.units import MS
         from repro.workloads.generators import CbrSource, uniform_population
 
-        scaled = ScaledPod(data_cores=2, per_core_pps=100_000)
-        counts = scaled.egress_counts_by_vni()
+        scaled = _scaled_pod(data_cores=2, per_core_pps=100_000)
+        counts = {}
+
+        def count(packet, outcome):
+            counts[packet.vni] = counts.get(packet.vni, 0) + 1
+
+        scaled.pod.add_tap("egress", count)
         population = uniform_population(10, tenants=2)
         CbrSource(
             scaled.sim, scaled.rngs.stream("t"), scaled.pod.ingress,
             population, rate_pps=50_000,
         )
-        scaled.run_for(10 * MS)
+        scaled.run(10 * MS)
         assert sum(counts.values()) == scaled.pod.transmitted()
         assert set(counts) == {0, 1}
 

@@ -182,13 +182,11 @@ class TestRecoveryOrdering:
         injector.load(FaultPlan([Fault(FaultKind.FPGA_STALL, 50 * MS, 60 * MS)]))
 
         egress = []
-        inner = pod.nic.egress_fn
 
         def capture(packet, outcome):
             egress.append((packet.flow, packet.uid, outcome))
-            inner(packet, outcome)
 
-        pod.nic.egress_fn = capture
+        pod.add_tap("egress", capture)
         population = uniform_population(64, tenants=4)
         CbrSource(
             sim, rngs.stream("traffic"), pod.ingress, population, rate_pps=20_000

@@ -40,13 +40,11 @@ class TestEndToEnd:
         matches ingress order even though packets cross 4 cores."""
         sim, rngs, _, pod = make_pod()
         egress_order = {}
-        original = pod.nic.egress_fn
 
         def track(packet, outcome):
             egress_order.setdefault(packet.flow, []).append(packet.uid)
-            original(packet, outcome)
 
-        pod.nic.egress_fn = track
+        pod.add_tap("egress", track)
         ingress_order = {}
         population = uniform_population(20, tenants=5)
         source = CbrSource(
@@ -112,13 +110,12 @@ class TestEndToEnd:
         assert pod.nic.pkt_dir.default_data_path is DeliveryPath.PLB
 
     def test_rate_limiter_drops_before_cpu(self):
-        sim, rngs, _, pod = make_pod(
-            rate_limiter=None,
-        )
         limiter = TwoStageRateLimiter(
-            rngs.stream("limiter"), stage1_rate_pps=10_000, stage2_rate_pps=2_000
+            RngRegistry(seed=3).stream("limiter"),  # make_pod's seed
+            stage1_rate_pps=10_000,
+            stage2_rate_pps=2_000,
         )
-        pod.nic.rate_limiter = limiter
+        sim, rngs, _, pod = make_pod(rate_limiter=limiter)
         population = uniform_population(10, tenants=1)
         CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=100_000)
         sim.run_until(100 * MS)

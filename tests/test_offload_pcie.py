@@ -88,8 +88,13 @@ class TestSessionOffloadPipeline:
         sim = Simulator()
         rngs = RngRegistry(seed=29)
         server = AlbatrossServer(sim, rngs)
-        pod = server.add_pod(PodConfig(name="gw", data_cores=2))
-        pod.nic.session_offload = FpgaSessionOffload(sim, capacity=1024)
+        pod = server.add_pod(
+            PodConfig(
+                name="gw",
+                data_cores=2,
+                session_offload=FpgaSessionOffload(sim, capacity=1024),
+            )
+        )
         population = uniform_population(20, tenants=4)
         CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=200_000)
         sim.run_until(20 * MS)

@@ -4,7 +4,7 @@ The acceptance bar for the API redesign: a scenario defined once as a
 :class:`ScenarioSpec` must (a) survive the wire format losslessly --
 that is what the fleet engine ships to workers -- and (b) produce the
 same deployment from every entry point (simulate, bench, faults,
-experiments' ``ScaledPod`` shim).
+experiments).
 """
 
 import json
@@ -148,22 +148,6 @@ class TestBuildEntryPoints:
             "sim_ns": handle.sim.now,
             "packets": handle.pod.transmitted(),
         }
-
-    def test_scaled_pod_shim_matches_direct_build(self):
-        from repro.experiments.common import ScaledPod
-
-        shim = ScaledPod(data_cores=4, per_core_pps=50_000, seed=3)
-        direct = build(ScenarioSpec(
-            name="scaled-pod",
-            pods=(PodSpec(name="pod", data_cores=4, per_core_pps=50_000),),
-            seed=3,
-        ))
-        assert shim.capacity_pps == direct.capacity_pps() == 200_000
-        assert shim.pod.config.data_cores == direct.pod.config.data_cores
-        assert (
-            shim.pod.config.custom_service.base_ns
-            == direct.pod.config.custom_service.base_ns
-        )
 
     def test_limiter_fields_construct_a_live_limiter(self):
         handle = build(_spec())

@@ -13,10 +13,10 @@ import json
 import pytest
 
 from repro.analysis.statecheck import probe_object
+from repro.controlplane.scenarios import migration_scenario_spec
 from repro.core.gateway import AlbatrossServer, PodConfig
 from repro.fleet import replicate, run_sweep, sweep_to_json, with_timeseries
 from repro.scenarios import (
-    MigrationSpec,
     PodSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -199,14 +199,21 @@ class TestSpec:
         with pytest.raises(ValueError, match="timeseries_every_ns"):
             _spec(every_ns=0)
 
-    def test_rejects_migration_combination(self):
-        # A migration rebuilds its pod mid-run, which would silently
-        # detach the recorder's latency tap -- forbidden at spec level.
-        with pytest.raises(ValueError, match="migration"):
-            _spec(
-                duration_ns=8 * MS,
-                migration=MigrationSpec(pod="gw", start_ns=2 * MS),
-            )
+    def test_composes_with_migration(self):
+        # The migrated pod is rebuilt mid-run and adopts the recorder's
+        # tap: no window sees a counter go backwards across the swap, and
+        # the windows see every latency the pod histogram records.
+        spec = migration_scenario_spec("rolling-upgrade", seed=13, quick=True)
+        spec = spec.with_overrides(overrides={"timeseries_every_ns": 1 * MS})
+        handle = build(spec).run()
+        report = handle.report()
+        assert report["migration"]["state"] == "complete"
+        windows = report["timeseries"]["windows"]
+        for window in windows:
+            for pod in window["pods"].values():
+                assert all(value >= 0 for value in pod["counters"].values())
+        counted = sum(window["pods"]["gw"]["latency"]["count"] for window in windows)
+        assert counted == handle.pods["gw"].latency_histogram.count > 0
 
 
 class TestFleetMerge:

@@ -1,5 +1,7 @@
 """Tests for the packet tracer and incast workload."""
 
+import json
+
 import pytest
 
 from repro.core.gateway import AlbatrossServer, PodConfig
@@ -73,31 +75,86 @@ class TestPacketTracer:
         assert len(tracer.traces) == 1
 
     def test_uninstall_restores_pipeline_hooks(self):
+        # After uninstall the pod behaves exactly like one never traced:
+        # it keeps forwarding, records nothing more and checkpoints to
+        # the same bytes as an untraced twin fed the same traffic.
         sim, rngs, pod = make_pod()
-        original_nic_ingress = pod.nic.ingress
-        original_egress = pod.nic.egress_fn
-        original_starts = [core._start_next for core in pod.cores]
+        twin_sim, twin_rngs, twin = make_pod()
         tracer = PacketTracer(pod)
-        assert pod.nic.ingress is not original_nic_ingress
-        tracer.uninstall()
-        assert pod.nic.ingress == original_nic_ingress
-        assert pod.nic.egress_fn == original_egress
-        for core, original in zip(pod.cores, original_starts):
-            assert core._start_next == original
-        # "ingress"/"_start_next" were class methods shadowed by instance
-        # attributes; uninstall must remove the shadow, not pin a bound
-        # method into the instance dict.
-        assert "ingress" not in pod.__dict__
-        for core in pod.cores:
-            assert "_start_next" not in core.__dict__
-            assert "_finish" not in core.__dict__
+        population = uniform_population(10)
+        sources = [
+            CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=50_000),
+            CbrSource(
+                twin_sim, twin_rngs.stream("t"), twin.ingress, population,
+                rate_pps=50_000,
+            ),
+        ]
+
+        def run_both(until_ns):
+            sim.run_until(until_ns)
+            twin_sim.run_until(until_ns)
+
+        run_both(1 * MS)
+        collected = len(tracer.traces)
+        assert collected > 0
         # Idempotent, and traces survive the uninstall.
         tracer.uninstall()
+        tracer.uninstall()
+        assert len(tracer.traces) == collected
+        before = pod.transmitted()
+        run_both(2 * MS)
+        assert pod.transmitted() > before
+        assert len(tracer.traces) == collected  # detached: nothing new recorded
+        for source in sources:
+            source.stop()
+        run_both(3 * MS)
+        assert pod.quiescent()
+        assert json.dumps(pod.checkpoint()) == json.dumps(twin.checkpoint())
+
+    def test_traced_pod_honours_crash(self):
+        # Regression: the tracer repointed pod.ingress straight at the
+        # NIC, so a crashed pod kept accepting traffic while traced.
+        results = []
+        for traced in (False, True):
+            sim, rngs, pod = make_pod()
+            tracer = PacketTracer(pod) if traced else None
+            population = uniform_population(10)
+            CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=50_000)
+            sim.schedule_at(1 * MS, pod.crash)
+            sim.run_until(3 * MS)
+            results.append(
+                (pod.counters.get("pod_crashed_drops"), pod.counters.get("rx_packets"))
+            )
+        assert results[0] == results[1]
+        crashed_drops, received = results[1]
+        assert crashed_drops > 0
+        assert len(tracer.traces) == received  # only packets the live pod took
+
+    def test_failed_core_stamps_no_cpu_start(self):
+        # Regression: the tracer peeked the RX ring before the core
+        # checked it was failed, stamping cpu_start on packets the core
+        # never started; that stale stamp then won after restore().
+        sim, rngs, pod = make_pod(data_cores=1, mode="rss")
+        core = pod.cores[0]
+        tracer = PacketTracer(pod)
         population = uniform_population(10)
         CbrSource(sim, rngs.stream("t"), pod.ingress, population, rate_pps=50_000)
+        sim.schedule_at(1 * MS, core.fail)
         sim.run_until(2 * MS)
-        assert pod.transmitted() > 0
-        assert len(tracer.traces) == 0  # hooks gone: nothing new recorded
+        waiting = [
+            trace for trace in tracer.traces.values()
+            if trace.stage_time("cpu_done") is None
+        ]
+        assert not core.busy
+        assert len(core.rx_queue) == 50
+        assert len(waiting) >= 50
+        assert all(trace.stage_time("cpu_start") is None for trace in waiting)
+        core.restore()
+        restored_at = sim.now
+        sim.run_until(4 * MS)
+        for trace in waiting:
+            assert trace.stages.count("cpu_start") == 1
+            assert trace.stage_time("cpu_start") >= restored_at
 
     def test_uninstall_mid_flight_keeps_pipeline_running(self):
         # Uninstalling while packets are in flight must not strand them:
